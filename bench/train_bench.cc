@@ -1,8 +1,7 @@
 // Training-throughput benchmark for the intra-run parallel SARSA learner
 // (rl/parallel_sarsa.h). For each dataset it times a full training run in
-// serial mode, in deterministic sharded mode at K in {1, 2, 4, 8}, and in
-// Hogwild mode at the largest K, reporting episodes/sec and
-// time-to-constraint-satisfaction (wall-clock until the first policy-
+// serial mode and in deterministic sharded mode at K in {1, 2, 4, 8},
+// reporting episodes/sec and time-to-constraint-satisfaction (wall-clock until the first policy-
 // iteration round whose greedy rollout satisfies every hard constraint).
 //
 // An argument-less run emits BENCH_train.json (same conventions as
@@ -54,7 +53,7 @@ double Now() {
 
 struct RunResult {
   std::string name;       // e.g. "univ1_dsct/deterministic/K4"
-  const char* mode;       // "serial" | "deterministic" | "hogwild"
+  const char* mode;       // "serial" | "deterministic"
   int workers = 1;
   std::size_t catalog_items = 0;
   int episodes = 0;
@@ -71,8 +70,7 @@ struct RunResult {
 // One dataset's benchmark setup: the instance, its reward weights, and the
 // SARSA configuration shared by every mode. `sparse` scenarios train on the
 // SparseQTable representation (catalogs where the dense |I|² table would
-// not fit) and skip the Hogwild mode, whose lock-free CAS loop is defined
-// only for the dense contiguous table.
+// not fit).
 struct Scenario {
   std::string name;
   Dataset dataset;
@@ -143,10 +141,7 @@ RunResult RunOne(const Scenario& scenario, ParallelMode mode, int workers,
   config.num_workers = workers;
 
   RunResult result;
-  result.mode = mode == ParallelMode::kSerial
-                    ? "serial"
-                    : (mode == ParallelMode::kHogwild ? "hogwild"
-                                                      : "deterministic");
+  result.mode = mode == ParallelMode::kSerial ? "serial" : "deterministic";
   result.name = scenario.name + "/" + result.mode;
   if (mode != ParallelMode::kSerial) {
     result.name += "/K" + std::to_string(workers);
@@ -255,10 +250,6 @@ int RunAll(bool smoke, const std::string& trace_out) {
     for (int k : worker_counts) {
       results.push_back(RunOne(scenario, ParallelMode::kDeterministic, k,
                                episodes, trace.get()));
-    }
-    if (!scenario.sparse) {
-      results.push_back(RunOne(scenario, ParallelMode::kHogwild,
-                               worker_counts.back(), episodes, trace.get()));
     }
     for (const RunResult& r : results) all_ok = all_ok && r.ok;
   }

@@ -7,8 +7,9 @@
 //  2. NYC -> Paris: the POI sets are disjoint, so each Paris POI is matched
 //     to its most theme-similar NYC POI and Q-values are pulled through
 //     that mapping.
-// The example also saves and reloads a policy from disk (CSV), which is how
-// a deployment would ship pre-trained policies.
+// The example also saves and reloads a policy as a binary snapshot (the file
+// `rlplanner_cli save-snapshot` writes and `load-snapshot` reads), which is
+// how a deployment would ship pre-trained policies.
 
 #include <cstdio>
 
@@ -16,6 +17,7 @@
 #include "datagen/course_data.h"
 #include "datagen/trip_data.h"
 #include "rl/transfer.h"
+#include "serve/policy_snapshot.h"
 
 namespace {
 
@@ -70,22 +72,30 @@ int main() {
   const datagen::Dataset paris = datagen::MakeParisTrip();
   ShowTransfer(nyc, paris, core::DefaultTripConfig());
 
-  // Persistence: train once, save the policy, reload it elsewhere.
+  // Persistence: train once, save the policy as a checksummed snapshot
+  // (which also records the catalog fingerprint and training provenance),
+  // reload it elsewhere.
   const model::TaskInstance instance = ds_ct.Instance();
   core::PlannerConfig config = core::DefaultUniv1Config();
   config.sarsa.start_item = ds_ct.default_start;
   core::RlPlanner trained(instance, config);
-  if (trained.Train().ok() &&
-      trained.SavePolicy("/tmp/rlplanner_policy.csv").ok()) {
-    core::RlPlanner reloaded(instance, config);
-    if (reloaded.LoadPolicy("/tmp/rlplanner_policy.csv").ok()) {
-      auto plan = reloaded.Recommend(ds_ct.default_start);
-      std::printf("== reloaded policy from CSV ==\n  score %.2f (%s)\n",
-                  plan.ok() ? reloaded.Score(plan.value()) : -1.0,
-                  plan.ok()
-                      ? reloaded.Validate(plan.value()).ToString().c_str()
-                      : "recommendation failed");
-    }
+  const char* path = "rlplanner_policy.snap";
+  if (!trained.Train().ok()) return 1;
+  auto snapshot = serve::MakeSnapshot(trained);
+  if (!snapshot.ok() || !snapshot.value().SaveToFile(path).ok()) return 1;
+  auto loaded = serve::PolicySnapshot::LoadFromFile(path);
+  std::remove(path);
+  if (!loaded.ok() ||
+      loaded.value().catalog_fingerprint !=
+          serve::CatalogFingerprint(ds_ct.catalog)) {
+    return 1;
   }
+  core::RlPlanner reloaded(instance, config);
+  if (!reloaded.AdoptPolicy(loaded.value().table).ok()) return 1;
+  auto plan = reloaded.Recommend(ds_ct.default_start);
+  std::printf("== reloaded policy from snapshot ==\n  score %.2f (%s)\n",
+              plan.ok() ? reloaded.Score(plan.value()) : -1.0,
+              plan.ok() ? reloaded.Validate(plan.value()).ToString().c_str()
+                        : "recommendation failed");
   return 0;
 }

@@ -18,13 +18,6 @@ util::Status PlannerConfig::Validate() const {
   if (sarsa.num_workers < 1) {
     return util::Status::InvalidArgument("num_workers must be >= 1");
   }
-  if (sarsa.parallel_mode == rl::ParallelMode::kHogwild &&
-      sarsa.q_representation == rl::QRepresentation::kSparse) {
-    return util::Status::InvalidArgument(
-        "q_representation kSparse is incompatible with kHogwild "
-        "(the Hogwild table is an atomic dense array); use kDense or a "
-        "non-Hogwild parallel mode");
-  }
   return reward.Validate();
 }
 

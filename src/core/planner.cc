@@ -1,7 +1,6 @@
 #include "core/planner.h"
 
 #include <chrono>
-#include <fstream>
 #include <sstream>
 #include <type_traits>
 
@@ -28,16 +27,6 @@ util::Status RlPlanner::Train() {
   const std::size_t n = instance_->catalog->size();
   const rl::QRepresentation repr =
       rl::ResolveQRepresentation(config_.sarsa.q_representation, n);
-  if (repr == rl::QRepresentation::kSparse &&
-      config_.sarsa.parallel_mode == rl::ParallelMode::kHogwild) {
-    // Catches kAuto resolving to sparse on a big catalog; the explicit
-    // kSparse + kHogwild pairing is already rejected by Validate().
-    return util::Status::InvalidArgument(
-        "catalog of " + std::to_string(n) +
-        " items auto-selects the sparse Q representation, which is "
-        "incompatible with kHogwild; set q_representation = kDense or use "
-        "kDeterministic");
-  }
   if (repr == rl::QRepresentation::kSparse && n > rl::kSparseAutoThreshold &&
       config_.sarsa.policy_rounds > 1) {
     // The policy-iteration restart path calls AddNoise, which is only
@@ -178,43 +167,6 @@ double RlPlanner::Score(const model::Plan& plan) const {
 
 ValidationReport RlPlanner::Validate(const model::Plan& plan) const {
   return ValidatePlan(*instance_, plan);
-}
-
-util::Status RlPlanner::SavePolicy(const std::string& path) const {
-  if (!trained()) {
-    return util::Status::FailedPrecondition("no policy to save");
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return util::Status::Internal("cannot open for write: " + path);
-  // Both representations skip zeros and emit ascending (state, action), so
-  // the CSV is identical regardless of which one trained the policy.
-  out << (sparse_q_.has_value() ? sparse_q_->ToCsv() : q_->ToCsv());
-  if (!out) return util::Status::Internal("write failed: " + path);
-  return util::Status::Ok();
-}
-
-util::Status RlPlanner::LoadPolicy(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::Status::NotFound("cannot open: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  // Restore into the representation the config resolves to, so loading a
-  // policy for a 100k catalog never materializes the dense table.
-  const rl::QRepresentation repr = rl::ResolveQRepresentation(
-      config_.sarsa.q_representation, instance_->catalog->size());
-  if (repr == rl::QRepresentation::kSparse) {
-    auto table =
-        mdp::SparseQTable::FromCsv(instance_->catalog->size(), buffer.str());
-    if (!table.ok()) return table.status();
-    q_.reset();
-    sparse_q_ = std::move(table).value();
-    return util::Status::Ok();
-  }
-  auto table = mdp::QTable::FromCsv(instance_->catalog->size(), buffer.str());
-  if (!table.ok()) return table.status();
-  sparse_q_.reset();
-  q_ = std::move(table).value();
-  return util::Status::Ok();
 }
 
 }  // namespace rlplanner::core

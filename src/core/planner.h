@@ -96,10 +96,6 @@ class RlPlanner {
     return episode_returns_;
   }
 
-  /// Saves / restores the policy as CSV.
-  util::Status SavePolicy(const std::string& path) const;
-  util::Status LoadPolicy(const std::string& path);
-
   const model::TaskInstance& instance() const { return *instance_; }
   const PlannerConfig& config() const { return config_; }
   const mdp::RewardFunction& reward_function() const { return reward_; }

@@ -100,16 +100,6 @@ class QTable {
   /// learner visited).
   double NonZeroFraction() const;
 
-  /// Serializes as CSV ("state,action,q", non-zero entries only).
-  std::string ToCsv() const;
-
-  /// Restores a table from `ToCsv` output; `num_items` fixes the dimension.
-  /// Malformed rows (non-numeric fields, trailing garbage), out-of-range
-  /// state/action ids, and duplicate (state, action) entries all produce
-  /// InvalidArgument naming the offending data row.
-  static util::Result<QTable> FromCsv(std::size_t num_items,
-                                      const std::string& csv_text);
-
   /// The raw row-major |I| x |I| payload (binary snapshot serialization).
   const std::vector<double>& values() const { return values_; }
 

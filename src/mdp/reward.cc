@@ -45,25 +45,17 @@ constexpr std::size_t kMaxDistanceMatrixItems = 1024;
 
 RewardFunction::RewardFunction(const model::TaskInstance& instance,
                                const RewardWeights& weights)
-    : RewardFunction(instance, weights, RewardFunctionOptions{}) {}
-
-RewardFunction::RewardFunction(const model::TaskInstance& instance,
-                               const RewardWeights& weights,
-                               const RewardFunctionOptions& options)
     : instance_(&instance),
       weights_(&weights),
-      options_(options),
       num_items_(instance.catalog->size()),
       required_new_topics_(ComputeRequiredNewIdealTopics()) {
-  if (options_.cache_topic_gain) {
-    ideal_topics_of_item_.reserve(num_items_);
-    ideal_topic_count_of_item_.reserve(num_items_);
-    for (const model::Item& item : instance_->catalog->items()) {
-      model::TopicVector ideal = item.topics;
-      ideal &= instance_->soft.ideal_topics;
-      ideal_topic_count_of_item_.push_back(ideal.Count());
-      ideal_topics_of_item_.push_back(std::move(ideal));
-    }
+  ideal_topics_of_item_.reserve(num_items_);
+  ideal_topic_count_of_item_.reserve(num_items_);
+  for (const model::Item& item : instance_->catalog->items()) {
+    model::TopicVector ideal = item.topics;
+    ideal &= instance_->soft.ideal_topics;
+    ideal_topic_count_of_item_.push_back(ideal.Count());
+    ideal_topics_of_item_.push_back(std::move(ideal));
   }
   type_weight_of_item_.reserve(num_items_);
   for (const model::Item& item : instance_->catalog->items()) {
@@ -74,8 +66,7 @@ RewardFunction::RewardFunction(const model::TaskInstance& instance,
     type_weight_of_item_.push_back(
         in_range ? weights_->category_weights[category] : 0.0);
   }
-  if (options_.cache_distances &&
-      instance_->catalog->domain() == model::Domain::kTrip &&
+  if (instance_->catalog->domain() == model::Domain::kTrip &&
       num_items_ <= kMaxDistanceMatrixItems) {
     distance_matrix_.resize(num_items_ * num_items_);
     for (std::size_t a = 0; a < num_items_; ++a) {
@@ -105,18 +96,12 @@ std::size_t RewardFunction::ComputeRequiredNewIdealTopics() const {
 
 int RewardFunction::TopicCoverageReward(const EpisodeState& state,
                                         model::ItemId next) const {
-  if (options_.cache_topic_gain) {
-    // |T_ideal ∩ T_next \ T_current| via the precomputed per-item
-    // intersection: its popcount minus the part already covered.
-    const auto index = static_cast<std::size_t>(next);
-    const std::size_t gained =
-        ideal_topic_count_of_item_[index] -
-        ideal_topics_of_item_[index].IntersectCount(state.covered_topics());
-    return gained >= required_new_topics_ ? 1 : 0;
-  }
-  const model::Item& item = instance_->catalog->item(next);
-  const std::size_t gained = model::NewlyCoveredIdealTopics(
-      state.covered_topics(), item.topics, instance_->soft.ideal_topics);
+  // |T_ideal ∩ T_next \ T_current| via the precomputed per-item
+  // intersection: its popcount minus the part already covered.
+  const auto index = static_cast<std::size_t>(next);
+  const std::size_t gained =
+      ideal_topic_count_of_item_[index] -
+      ideal_topics_of_item_[index].IntersectCount(state.covered_topics());
   return gained >= required_new_topics_ ? 1 : 0;
 }
 
@@ -148,14 +133,8 @@ int RewardFunction::Theta(const EpisodeState& state,
 
 double RewardFunction::InterleavingSimilarity(const EpisodeState& state,
                                               model::ItemId next) const {
-  const model::ItemType type = instance_->catalog->item(next).type;
-  if (options_.incremental_similarity) {
-    return state.similarity_tracker().ScoreAppend(type, weights_->similarity);
-  }
-  model::TypeSequence extended = state.type_sequence();
-  extended.push_back(type);
-  return AggregateSimilarity(extended, instance_->soft.interleaving,
-                             weights_->similarity);
+  return state.similarity_tracker().ScoreAppend(
+      instance_->catalog->item(next).type, weights_->similarity);
 }
 
 double RewardFunction::TypeWeight(model::ItemId next) const {

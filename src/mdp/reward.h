@@ -34,41 +34,21 @@ struct RewardWeights {
   util::Status Validate() const;
 };
 
-/// Hot-path toggles of RewardFunction. All default on; the "legacy" all-off
-/// configuration reproduces the original batch-recompute behavior and is
-/// kept so tests and the micro-benchmarks can compare the two paths (they
-/// are bit-identical by construction).
-struct RewardFunctionOptions {
-  /// Score the interleaving term from EpisodeState's SimilarityTracker
-  /// (O(|IT|) per candidate) instead of copying the type sequence and
-  /// recomputing Eq. 7 from scratch (O(L * |IT|) plus allocations).
-  bool incremental_similarity = true;
-  /// Precompute per-item `topics & T_ideal` bitsets and their popcounts so
-  /// the Eq. 3 topic gain is one IntersectCount (O(vocab/64), no
-  /// allocation) per candidate.
-  bool cache_topic_gain = true;
-  /// Trip domain: precompute the pairwise haversine matrix (catalogs up to
-  /// 1024 items) so budget checks do a table lookup per candidate.
-  bool cache_distances = true;
-};
-
 /// The reward function `R(s_i, e_i, s_{i+1})` of Section III-B, bound to one
 /// task instance. All components are exposed individually so tests and the
 /// EDA baseline can exercise them.
 ///
 /// Construction snapshots per-item caches derived from the instance and the
-/// weights (see RewardFunctionOptions); mutate either only before building
+/// weights: each item's `topics & T_ideal` and its popcount (so the Eq. 3
+/// topic gain is one IntersectCount per candidate), each item's category
+/// weight, and in the trip domain the pairwise haversine matrix (catalogs up
+/// to 1024 items). Mutate the instance or the weights only before building
 /// the function, never after.
 class RewardFunction {
  public:
   /// Neither argument is copied; both must outlive the function.
   RewardFunction(const model::TaskInstance& instance,
                  const RewardWeights& weights);
-
-  /// As above with explicit hot-path options (tests / benchmarks).
-  RewardFunction(const model::TaskInstance& instance,
-                 const RewardWeights& weights,
-                 const RewardFunctionOptions& options);
 
   /// r1 (Eq. 3): 1 iff adding `next` increases coverage of `T^ideal` by at
   /// least the epsilon threshold.
@@ -114,7 +94,6 @@ class RewardFunction {
 
   const RewardWeights& weights() const { return *weights_; }
   const model::TaskInstance& instance() const { return *instance_; }
-  const RewardFunctionOptions& options() const { return options_; }
 
  private:
   double ComputeDistanceKm(model::ItemId a, model::ItemId b) const;
@@ -122,15 +101,14 @@ class RewardFunction {
 
   const model::TaskInstance* instance_;
   const RewardWeights* weights_;
-  RewardFunctionOptions options_;
   std::size_t num_items_ = 0;
   std::size_t required_new_topics_ = 0;
-  // Per-item `topics & T_ideal` and its popcount (cache_topic_gain).
+  // Per-item `topics & T_ideal` and its popcount.
   std::vector<model::TopicVector> ideal_topics_of_item_;
   std::vector<std::size_t> ideal_topic_count_of_item_;
   // Per-item category weight (0 for out-of-range categories).
   std::vector<double> type_weight_of_item_;
-  // Row-major pairwise haversine matrix (cache_distances, trip domain).
+  // Row-major pairwise haversine matrix (trip domain, up to 1024 items).
   std::vector<double> distance_matrix_;
 };
 

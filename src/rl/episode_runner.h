@@ -18,9 +18,9 @@ namespace rlplanner::rl {
 
 /// The episode generator of Algorithm 1, factored out of SarsaLearner so
 /// one implementation serves every training mode. `QModel` is the value
-/// table the TD updates land in — mdp::QTable for the serial and
-/// deterministic-sharded learners, AtomicQTable (rl/parallel_sarsa.h) for
-/// Hogwild — and must provide Get/Set/SarsaUpdate with QTable's signatures.
+/// table the TD updates land in — mdp::QTable or mdp::SparseQTable, for the
+/// serial and deterministic-sharded learners alike — and must provide
+/// Get/Set/SarsaUpdate with QTable's signatures.
 ///
 /// The runner holds *references* to its config and RNG: the serial learner
 /// shares its own RNG so the refactor preserves the historical draw
@@ -109,9 +109,6 @@ class EpisodeRunner {
         q.SarsaUpdate(current, action, reward, action, next_action,
                       config_->alpha, config_->gamma);
       } else {
-        // Plain read-modify-write; under Hogwild this races benignly
-        // (last-writer-wins), which is within that mode's statistical
-        // contract — only the default SARSA rule gets the CAS treatment.
         const double continuation =
             ContinuationValue(q, state, next_action, explore_epsilon);
         const double old_value = q.Get(current, action);

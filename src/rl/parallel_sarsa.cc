@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
-#include <type_traits>
 #include <utility>
 
 #include "mdp/cmdp.h"
@@ -42,28 +41,6 @@ model::ItemId PickStart(const model::TaskInstance& instance, util::Rng& rng) {
 }
 
 }  // namespace
-
-mdp::QTable AtomicQTable::ToQTable() const {
-  mdp::QTable table(num_items_);
-  for (std::size_t s = 0; s < num_items_; ++s) {
-    for (std::size_t a = 0; a < num_items_; ++a) {
-      table.Set(static_cast<model::ItemId>(s), static_cast<model::ItemId>(a),
-                values_[s * num_items_ + a].load(std::memory_order_relaxed));
-    }
-  }
-  return table;
-}
-
-void AtomicQTable::LoadFrom(const mdp::QTable& table) {
-  for (std::size_t s = 0; s < num_items_; ++s) {
-    for (std::size_t a = 0; a < num_items_; ++a) {
-      values_[s * num_items_ + a].store(
-          table.Get(static_cast<model::ItemId>(s),
-                    static_cast<model::ItemId>(a)),
-          std::memory_order_relaxed);
-    }
-  }
-}
 
 template <typename QModel>
 ParallelSarsaLearnerT<QModel>::ParallelSarsaLearnerT(
@@ -123,8 +100,7 @@ QModel ParallelSarsaLearnerT<QModel>::Learn() {
     owned_pool_ =
         std::make_unique<util::ThreadPool>(static_cast<std::size_t>(k));
   }
-  return config_.parallel_mode == ParallelMode::kHogwild ? LearnHogwild()
-                                                         : LearnDeterministic();
+  return LearnDeterministic();
 }
 
 template <typename QModel>
@@ -297,129 +273,6 @@ QModel ParallelSarsaLearnerT<QModel>::LearnDeterministic() {
     return *std::move(last_safe);
   }
   return q;
-}
-
-template <typename QModel>
-QModel ParallelSarsaLearnerT<QModel>::LearnHogwild() {
-  if constexpr (!std::is_same_v<QModel, mdp::QTable>) {
-    // kHogwild requires the dense atomic table and config validation
-    // rejects the sparse combination before Learn() runs; fall back to the
-    // deterministic path defensively if reached anyway.
-    return LearnDeterministic();
-  } else {
-  const auto start = Clock::now();
-  const std::size_t n = instance_->catalog->size();
-  const int k = num_workers();
-  const int horizon = HorizonOf(*instance_);
-  AtomicQTable shared(n);
-  episode_returns_.reserve(static_cast<std::size_t>(config_.num_episodes));
-
-  util::Rng coordinator(seed_);
-
-  std::vector<ActionMask> masks;
-  masks.reserve(static_cast<std::size_t>(k));
-  for (int w = 0; w < k; ++w) {
-    masks.emplace_back(*reward_, horizon, config_.mask_type_overflow);
-  }
-
-  const int rounds = std::max(1, config_.policy_rounds);
-  const int per_round = std::max(1, config_.num_episodes / rounds);
-  const mdp::CmdpSpec spec = mdp::CmdpSpec::FromInstance(*instance_);
-  double explore = config_.explore_epsilon;
-
-  RecommendConfig rollout_config;
-  rollout_config.start_item = config_.start_item >= 0
-                                  ? config_.start_item
-                                  : PickStart(*instance_, coordinator);
-  rollout_config.mask_type_overflow = config_.mask_type_overflow;
-  rollout_config.gamma = config_.gamma;
-  auto policy_is_safe = [&](const mdp::QTable& table) {
-    return spec.Satisfied(
-        RecommendPlan(table, *instance_, *reward_, rollout_config));
-  };
-
-  obs::Registry* const span_registry =
-      metrics_ != nullptr ? metrics_->registry() : nullptr;
-  std::optional<mdp::QTable> last_safe;
-  int episodes_done = 0;
-  for (int round = 0; episodes_done < config_.num_episodes; ++round) {
-    obs::ScopedSpan round_span(span_registry, "train_round", trace_);
-    round_span.AddArg("round", static_cast<std::uint64_t>(round));
-    const auto round_start = Clock::now();
-    const double round_epsilon = explore;
-    const int target =
-        round >= rounds - 1 ? config_.num_episodes
-                            : std::min(config_.num_episodes,
-                                       episodes_done + per_round);
-    const int count = target - episodes_done;
-    std::vector<int> shard(static_cast<std::size_t>(k), count / k);
-    for (int w = 0; w < count % k; ++w) shard[static_cast<std::size_t>(w)]++;
-
-    // All workers CAS straight into the shared table — no snapshot, no
-    // merge. The round barrier only exists for the safety rollout.
-    std::vector<std::vector<double>> returns(static_cast<std::size_t>(k));
-    ForEachWorker(k, [&](std::size_t w) {
-      obs::ScopedSpan shard_span(span_registry, "train_shard", trace_);
-      shard_span.AddArg("round", static_cast<std::uint64_t>(round));
-      shard_span.AddArg("worker", static_cast<std::uint64_t>(w));
-      shard_span.AddArg("episodes", static_cast<std::uint64_t>(shard[w]));
-      util::Rng rng(WorkerSeed(seed_, round, static_cast<int>(w)));
-      EpisodeRunner<AtomicQTable> runner(*instance_, *reward_, config_, rng);
-      runner.set_metrics(metrics_);
-      for (int e = 0; e < shard[w]; ++e) {
-        runner.RunEpisode(shared, masks[w], explore);
-      }
-      returns[w] = std::move(runner.mutable_episode_returns());
-    });
-    for (int w = 0; w < k; ++w) {
-      episode_returns_.insert(episode_returns_.end(),
-                              returns[static_cast<std::size_t>(w)].begin(),
-                              returns[static_cast<std::size_t>(w)].end());
-    }
-    episodes_done = target;
-
-    bool safe = true;  // single-round runs never roll out
-    if (rounds > 1) {
-      obs::ScopedSpan rollout_span(span_registry, "train_safety_rollout",
-                                   trace_);
-      rollout_span.AddArg("round", static_cast<std::uint64_t>(round));
-      mdp::QTable q = shared.ToQTable();
-      safe = policy_is_safe(q);
-      if (safe) {
-        if (time_to_safe_seconds_ < 0.0) {
-          time_to_safe_seconds_ = SecondsSince(start);
-        }
-        last_safe = std::move(q);
-        explore = config_.explore_epsilon;
-      } else {
-        q.Scale(config_.restart_decay);
-        q.AddNoise(coordinator, 0.05);
-        shared.LoadFrom(q);
-        explore = std::min(0.5, explore + 0.1);
-      }
-    }
-    round_span.AddArg("episodes", static_cast<std::uint64_t>(count));
-    round_span.AddArg("safe", safe ? "true" : "false");
-    if (metrics_ != nullptr) {
-      obs::TrainingRoundSample sample;
-      sample.round = round;
-      sample.episodes = static_cast<std::uint64_t>(count);
-      sample.seconds = SecondsSince(round_start);
-      sample.episodes_per_sec =
-          sample.seconds > 0.0
-              ? static_cast<double>(sample.episodes) / sample.seconds
-              : 0.0;
-      sample.epsilon = round_epsilon;
-      sample.safe = safe;
-      metrics_->RecordRound(sample);
-    }
-  }
-  mdp::QTable q = shared.ToQTable();
-  if (rounds > 1 && last_safe.has_value() && !policy_is_safe(q)) {
-    return *std::move(last_safe);
-  }
-  return q;
-  }
 }
 
 template class ParallelSarsaLearnerT<mdp::QTable>;

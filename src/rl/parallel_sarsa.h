@@ -1,7 +1,6 @@
 #ifndef RLPLANNER_RL_PARALLEL_SARSA_H_
 #define RLPLANNER_RL_PARALLEL_SARSA_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -22,73 +21,8 @@ class TraceCollector;
 
 namespace rlplanner::rl {
 
-/// A |I| x |I| action-value table of std::atomic<double> for the Hogwild
-/// training mode: every worker reads and CASes the *shared* table directly,
-/// with relaxed ordering throughout (the classic Hogwild! recipe — sparse,
-/// unsynchronized updates whose collisions are rare enough to leave the
-/// learned policy intact). Satisfies EpisodeRunner's QModel interface.
-class AtomicQTable {
- public:
-  explicit AtomicQTable(std::size_t num_items)
-      : num_items_(num_items),
-        values_(std::make_unique<std::atomic<double>[]>(num_items *
-                                                        num_items)) {
-    for (std::size_t i = 0; i < num_items * num_items; ++i) {
-      values_[i].store(0.0, std::memory_order_relaxed);
-    }
-  }
-
-  std::size_t num_items() const { return num_items_; }
-
-  double Get(model::ItemId state, model::ItemId action) const {
-    return values_[Flat(state, action)].load(std::memory_order_relaxed);
-  }
-
-  void Set(model::ItemId state, model::ItemId action, double value) {
-    values_[Flat(state, action)].store(value, std::memory_order_relaxed);
-  }
-
-  /// Eq. 9 as an atomic read-modify-write: the continuation value is read
-  /// once, then the cell is updated by a compare-exchange loop so no
-  /// concurrent TD step is silently dropped (each retry recomputes the
-  /// blend from the freshly observed cell value).
-  void SarsaUpdate(model::ItemId state, model::ItemId action, double reward,
-                   model::ItemId next_state, model::ItemId next_action,
-                   double alpha, double gamma) {
-    const double next_q = (next_state >= 0 && next_action >= 0)
-                              ? Get(next_state, next_action)
-                              : 0.0;
-    std::atomic<double>& cell = values_[Flat(state, action)];
-    double current = cell.load(std::memory_order_relaxed);
-    double updated;
-    do {
-      updated = current + alpha * (reward + gamma * next_q - current);
-    } while (!cell.compare_exchange_weak(current, updated,
-                                         std::memory_order_relaxed));
-  }
-
-  /// Plain-table copy-out (for safety rollouts and the final result).
-  mdp::QTable ToQTable() const;
-
-  /// Overwrites every cell from a plain table (after the coordinator's
-  /// decay/jitter restart). Must not race with worker updates — only called
-  /// at round barriers.
-  void LoadFrom(const mdp::QTable& table);
-
- private:
-  std::size_t Flat(model::ItemId state, model::ItemId action) const {
-    return static_cast<std::size_t>(state) * num_items_ +
-           static_cast<std::size_t>(action);
-  }
-
-  std::size_t num_items_;
-  // unique_ptr array rather than std::vector: atomics are not movable, and
-  // the table size is fixed at construction anyway.
-  std::unique_ptr<std::atomic<double>[]> values_;
-};
-
 /// Intra-run parallel SARSA: one training run's episode budget spread over
-/// K episode workers (SarsaConfig::num_workers), in one of two modes.
+/// K episode workers (SarsaConfig::num_workers).
 ///
 /// kDeterministic — at each policy-iteration round the coordinator
 /// snapshots the Q-table; every worker rolls out its episode shard against
@@ -103,11 +37,6 @@ class AtomicQTable {
 /// (seed, K) matter. K = 1 delegates wholesale to SarsaLearner and is
 /// bit-identical to it.
 ///
-/// kHogwild — workers share one AtomicQTable and CAS their updates in with
-/// no snapshots or merge. Scheduling decides the update interleaving, so
-/// two runs differ bitwise; validated statistically (greedy rollout
-/// satisfies the hard constraints, scores within tolerance of serial).
-///
 /// kSerial (or num_workers <= 1) — delegates to SarsaLearnerT unchanged.
 ///
 /// Templated over the Q representation like SarsaLearnerT: dense
@@ -115,8 +44,6 @@ class AtomicQTable {
 /// representation-independent — both tables fold worker deltas over a fixed
 /// iteration order with identical FP operation order, so dense and sparse
 /// runs of the same (seed, K) learn bit-identical tables (pinned by test).
-/// kHogwild is dense-only (the CAS table is an atomic dense array); config
-/// validation rejects the sparse combination before Learn() runs.
 template <typename QModel>
 class ParallelSarsaLearnerT {
  public:
@@ -134,9 +61,8 @@ class ParallelSarsaLearnerT {
   /// learned Q-table.
   QModel Learn();
 
-  /// Total Eq. 2 return of each episode. Deterministic mode: concatenated
-  /// in (round, worker) order. Hogwild: (round, worker) order as well, but
-  /// the values themselves depend on scheduling.
+  /// Total Eq. 2 return of each episode, concatenated in (round, worker)
+  /// order.
   const std::vector<double>& episode_returns() const {
     return episode_returns_;
   }
@@ -172,7 +98,6 @@ class ParallelSarsaLearnerT {
  private:
   QModel LearnSerialDelegate();
   QModel LearnDeterministic();
-  QModel LearnHogwild();
 
   // Runs `fn(w)` for w in [0, K) on the external pool, a private pool, or
   // inline, in that order of availability.

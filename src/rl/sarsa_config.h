@@ -38,11 +38,6 @@ enum class ParallelMode {
   /// a given (seed, num_workers) regardless of physical thread count or
   /// scheduling; num_workers == 1 is bit-identical to kSerial.
   kDeterministic = 1,
-  /// Lock-free Hogwild: all workers update one shared table of
-  /// std::atomic<double> via CAS. Fastest, but update interleaving is
-  /// scheduler-dependent, so results are validated statistically, not
-  /// bit-exactly.
-  kHogwild = 2,
 };
 
 /// In-memory layout of the learned Q(s, e) table.
@@ -55,8 +50,7 @@ enum class QRepresentation {
   /// Open-addressing mdp::SparseQTable — memory proportional to visited
   /// (state, action) pairs; the only option at 10k-100k items. Trains
   /// bit-identical to dense under kSerial and kDeterministic (pinned by
-  /// test); kHogwild requires dense (the CAS table is an atomic dense
-  /// array) and is rejected by config validation.
+  /// test).
   kSparse = 2,
 };
 
@@ -107,12 +101,12 @@ struct SarsaConfig {
   double restart_decay = 0.25;
   /// Intra-run threading of the episode loop (ParallelSarsaLearner).
   ParallelMode parallel_mode = ParallelMode::kSerial;
-  /// Episode workers K for the parallel modes. Under kDeterministic this is
-  /// a *logical* shard count: the learned table depends on (seed, K) only,
-  /// never on how many physical threads execute the shards.
+  /// Episode workers K for kDeterministic. This is a *logical* shard count:
+  /// the learned table depends on (seed, K) only, never on how many
+  /// physical threads execute the shards.
   int num_workers = 1;
   /// Q-table layout; kAuto resolves by catalog size (see
-  /// ResolveQRepresentation). kSparse + kHogwild is invalid.
+  /// ResolveQRepresentation).
   QRepresentation q_representation = QRepresentation::kAuto;
 };
 

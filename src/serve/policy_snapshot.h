@@ -28,8 +28,7 @@ std::uint64_t CatalogFingerprint(const model::Catalog& catalog);
 
 /// A trained policy as a loadable artifact (the "train once, serve many"
 /// half of the stack): the binary Q-table payload plus the provenance needed
-/// to validate and reproduce it. The CSV path (`QTable::ToCsv`) remains the
-/// portable, human-readable fallback; this format adds integrity (checksum),
+/// to validate and reproduce it: the exact table, integrity (checksum),
 /// compatibility (catalog fingerprint) and provenance (SarsaConfig + seed).
 ///
 /// Wire layout (fixed-width little-endian fields, in order):

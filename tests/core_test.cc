@@ -1,9 +1,12 @@
 // Tests for the public facade: PlannerConfig validation, plan scoring, and
-// the RlPlanner train/recommend/score/persistence lifecycle.
+// the RlPlanner train/recommend/score lifecycle, including a policy's round
+// trip through both snapshot formats.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "core/config.h"
 #include "geo/latlng.h"
@@ -11,6 +14,7 @@
 #include "core/scoring.h"
 #include "datagen/course_data.h"
 #include "datagen/trip_data.h"
+#include "serve/policy_snapshot.h"
 
 namespace rlplanner::core {
 namespace {
@@ -175,7 +179,10 @@ TEST(PlannerTest, AdoptPolicyChecksDimension) {
   EXPECT_TRUE(planner.trained());
 }
 
-TEST(PlannerTest, PolicyPersistenceRoundTrip) {
+TEST(PlannerTest, PolicySnapshotRoundTrip) {
+  // Both snapshot formats restore the trained policy exactly: the dense v1
+  // file into a dense table, the v2 file into the sparse equivalent, and
+  // either one recommends the original plan.
   datagen::Dataset dataset = datagen::MakeTableIIToy();
   const model::TaskInstance instance = dataset.Instance();
   PlannerConfig config;
@@ -184,25 +191,49 @@ TEST(PlannerTest, PolicyPersistenceRoundTrip) {
   config.reward.epsilon = 1.0;
   RlPlanner planner(instance, config);
   ASSERT_TRUE(planner.Train().ok());
-  const std::string path = "/tmp/rlplanner_core_test_policy.csv";
-  ASSERT_TRUE(planner.SavePolicy(path).ok());
-
-  RlPlanner restored(instance, config);
-  ASSERT_TRUE(restored.LoadPolicy(path).ok());
   auto original = planner.Recommend(0);
-  auto reloaded = restored.Recommend(0);
   ASSERT_TRUE(original.ok());
-  ASSERT_TRUE(reloaded.ok());
-  EXPECT_EQ(original.value(), reloaded.value());
-  std::remove(path.c_str());
+
+  const std::string v1_path = testing::TempDir() + "/core_test_policy.snap";
+  auto v1 = serve::MakeSnapshot(planner);
+  ASSERT_TRUE(v1.ok());
+  ASSERT_TRUE(v1.value().SaveToFile(v1_path).ok());
+  auto v1_loaded = serve::PolicySnapshot::LoadFromFile(v1_path);
+  ASSERT_TRUE(v1_loaded.ok());
+  RlPlanner from_v1(instance, config);
+  ASSERT_TRUE(from_v1.AdoptPolicy(v1_loaded.value().table).ok());
+  EXPECT_TRUE(from_v1.q_table() == planner.q_table());
+  auto v1_plan = from_v1.Recommend(0);
+  ASSERT_TRUE(v1_plan.ok());
+  EXPECT_EQ(original.value(), v1_plan.value());
+  std::remove(v1_path.c_str());
+
+  const std::string v2_path = testing::TempDir() + "/core_test_policy_v2.snap";
+  auto v2 = serve::MakeSnapshotV2(planner);
+  ASSERT_TRUE(v2.ok());
+  ASSERT_TRUE(v2.value().SaveToFile(v2_path).ok());
+  auto v2_loaded = serve::SparsePolicySnapshotV2::LoadFromFile(v2_path);
+  ASSERT_TRUE(v2_loaded.ok());
+  RlPlanner from_v2(instance, config);
+  ASSERT_TRUE(from_v2.AdoptPolicy(std::move(v2_loaded).value().table).ok());
+  ASSERT_TRUE(from_v2.uses_sparse());
+  EXPECT_TRUE(from_v2.sparse_q_table() ==
+              mdp::SparseQTable::FromDense(planner.q_table()));
+  auto v2_plan = from_v2.Recommend(0);
+  ASSERT_TRUE(v2_plan.ok());
+  EXPECT_EQ(original.value(), v2_plan.value());
+  std::remove(v2_path.c_str());
 }
 
-TEST(PlannerTest, SaveWithoutPolicyFails) {
+TEST(PlannerTest, SnapshotWithoutPolicyFails) {
   datagen::Dataset dataset = datagen::MakeTableIIToy();
   const model::TaskInstance instance = dataset.Instance();
   RlPlanner planner(instance, PlannerConfig{});
-  EXPECT_FALSE(planner.SavePolicy("/tmp/never_written.csv").ok());
-  EXPECT_FALSE(planner.LoadPolicy("/tmp/definitely_missing_policy.csv").ok());
+  EXPECT_FALSE(serve::MakeSnapshot(planner).ok());
+  EXPECT_FALSE(serve::MakeSnapshotV2(planner).ok());
+  EXPECT_FALSE(
+      serve::PolicySnapshot::LoadFromFile("definitely_missing_policy.snap")
+          .ok());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the intra-run parallel SARSA learner: bit-determinism of the
 // sharded merge mode, bit-exact K=1 delegation to the serial learner, and
-// the statistical contract of the Hogwild mode.
+// bit-exact training with metrics recording on.
 
 #include <gtest/gtest.h>
 
@@ -10,14 +10,11 @@
 #include <utility>
 #include <vector>
 
-#include "core/scoring.h"
 #include "datagen/course_data.h"
-#include "mdp/cmdp.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "obs/training_metrics.h"
 #include "rl/parallel_sarsa.h"
-#include "rl/recommender.h"
 #include "rl/sarsa.h"
 #include "util/thread_pool.h"
 
@@ -157,100 +154,22 @@ TEST(ParallelSarsaTest, WorkerSeedsAreDistinctAcrossRoundsAndWorkers) {
             ParallelSarsaLearner::WorkerSeed(18, 0, 0));
 }
 
-// ------------------------------------------------------- atomic table --
-
-TEST(AtomicQTableTest, SarsaUpdateMatchesPlainTableSingleThreaded) {
-  mdp::QTable plain(4);
-  AtomicQTable atomic(4);
-  plain.Set(1, 2, 0.5);
-  atomic.Set(1, 2, 0.5);
-  plain.Set(2, 3, 1.5);
-  atomic.Set(2, 3, 1.5);
-
-  plain.SarsaUpdate(1, 2, 0.7, 2, 3, 0.75, 0.95);
-  atomic.SarsaUpdate(1, 2, 0.7, 2, 3, 0.75, 0.95);
-  EXPECT_DOUBLE_EQ(atomic.Get(1, 2), plain.Get(1, 2));
-
-  // Terminal transition: no continuation value.
-  plain.SarsaUpdate(2, 3, -0.2, 3, -1, 0.75, 0.95);
-  atomic.SarsaUpdate(2, 3, -0.2, 3, -1, 0.75, 0.95);
-  EXPECT_DOUBLE_EQ(atomic.Get(2, 3), plain.Get(2, 3));
-
-  EXPECT_TRUE(atomic.ToQTable() == plain);
-}
-
-TEST(AtomicQTableTest, LoadFromRoundTrips) {
-  mdp::QTable plain(3);
-  plain.Set(0, 1, -1.25);
-  plain.Set(2, 2, 3.5);
-  AtomicQTable atomic(3);
-  atomic.LoadFrom(plain);
-  EXPECT_TRUE(atomic.ToQTable() == plain);
-}
-
-// ------------------------------------------------------ Hogwild mode --
-
-TEST(ParallelSarsaTest, HogwildPolicySatisfiesHardConstraints) {
-  // Hogwild results are scheduling-dependent, so the contract is
-  // statistical: across seeds, the greedy rollout of the learned policy
-  // must satisfy every hard constraint, and its plan score must be in the
-  // same range as the serial learner's.
-  datagen::Dataset dataset = datagen::MakeUniv1DsCt();
-  const model::TaskInstance instance = dataset.Instance();
-  const mdp::RewardWeights weights;
-  const mdp::RewardFunction reward(instance, weights);
-  const mdp::CmdpSpec spec = mdp::CmdpSpec::FromInstance(instance);
-
-  RecommendConfig rollout;
-  rollout.start_item = dataset.default_start;
-
-  for (std::uint64_t seed = 100; seed < 105; ++seed) {
-    SarsaConfig serial_config = ParallelConfig(ParallelMode::kSerial, 1, 500,
-                                               dataset.default_start);
-    SarsaLearner serial(instance, reward, serial_config, seed);
-    const mdp::QTable q_serial = serial.Learn();
-    const model::Plan serial_plan =
-        RecommendPlan(q_serial, instance, reward, rollout);
-    ASSERT_TRUE(spec.Satisfied(serial_plan)) << "serial unsafe, seed " << seed;
-
-    const SarsaConfig hogwild_config = ParallelConfig(
-        ParallelMode::kHogwild, 4, 500, dataset.default_start);
-    ParallelSarsaLearner hogwild(instance, reward, hogwild_config, seed);
-    const mdp::QTable q_hogwild = hogwild.Learn();
-    const model::Plan hogwild_plan =
-        RecommendPlan(q_hogwild, instance, reward, rollout);
-    EXPECT_TRUE(spec.Satisfied(hogwild_plan)) << "hogwild unsafe, seed "
-                                              << seed;
-
-    const double serial_score = core::ScorePlan(instance, serial_plan);
-    const double hogwild_score = core::ScorePlan(instance, hogwild_plan);
-    // On Univ-1 the learner's outcome is bimodal: every (seed, budget)
-    // combination converges to one of two feasible policies (scores ~4.8
-    // and ~10.0), and the *serial* learner itself lands on the low mode at
-    // other seeds/budgets. Per-seed parity is therefore not a property
-    // even of two serial runs; the statistical contract is "no policy
-    // collapse": the Hogwild score must stay inside the serial support,
-    // i.e. above a floor set between zero and the low mode.
-    EXPECT_GE(hogwild_score, 0.45 * serial_score) << "seed " << seed;
-  }
-}
-
 // ------------------------------------------------ metrics equivalence --
 
-// Trains once with a live metrics registry and once with none, under a
-// caller-supplied execution wrapper, and requires bit-identical results.
-void ExpectMetricsDoNotPerturbTraining(
-    const model::TaskInstance& instance, const mdp::RewardFunction& reward,
-    const SarsaConfig& config, std::uint64_t seed,
-    const std::function<mdp::QTable(ParallelSarsaLearner&)>& run) {
+// Trains once with a live metrics registry and once with none, and requires
+// bit-identical results.
+void ExpectMetricsDoNotPerturbTraining(const model::TaskInstance& instance,
+                                       const mdp::RewardFunction& reward,
+                                       const SarsaConfig& config,
+                                       std::uint64_t seed) {
   obs::Registry registry;
   obs::TrainingMetrics metrics(&registry);
   ParallelSarsaLearner instrumented(instance, reward, config, seed);
   instrumented.set_metrics(&metrics);
-  const mdp::QTable q_instrumented = run(instrumented);
+  const mdp::QTable q_instrumented = instrumented.Learn();
 
   ParallelSarsaLearner plain(instance, reward, config, seed);
-  const mdp::QTable q_plain = run(plain);
+  const mdp::QTable q_plain = plain.Learn();
 
   EXPECT_TRUE(q_instrumented == q_plain) << "seed " << seed;
   EXPECT_EQ(instrumented.episode_returns(), plain.episode_returns())
@@ -272,38 +191,16 @@ TEST(ParallelSarsaTest, MetricsRecordingIsBitExactAcrossSeedsAndModes) {
   const mdp::RewardWeights weights;
   const mdp::RewardFunction reward(instance, weights);
 
-  const auto run_direct = [](ParallelSarsaLearner& learner) {
-    return learner.Learn();
-  };
-  // Hogwild tables depend on thread interleaving, so the comparison forces
-  // it serial: a nested ParallelFor degrades to an inline loop, making the
-  // update order a pure function of the seed while still exercising the
-  // Hogwild code path (atomic table, per-worker RNG streams). The outer
-  // region needs n >= 2 — a single-index ParallelFor takes the trivial
-  // inline fast path without entering a parallel region.
-  util::ThreadPool outer_pool(2);
-  const auto run_nested = [&outer_pool](ParallelSarsaLearner& learner) {
-    mdp::QTable q(0);
-    outer_pool.ParallelFor(2, [&](std::size_t i) {
-      if (i == 0) q = learner.Learn();
-    });
-    return q;
-  };
-
   for (std::uint64_t seed = 200; seed < 205; ++seed) {
     ExpectMetricsDoNotPerturbTraining(
         instance, reward,
         ParallelConfig(ParallelMode::kSerial, 1, 100, dataset.default_start),
-        seed, run_direct);
+        seed);
     ExpectMetricsDoNotPerturbTraining(
         instance, reward,
         ParallelConfig(ParallelMode::kDeterministic, 4, 100,
                        dataset.default_start),
-        seed, run_direct);
-    ExpectMetricsDoNotPerturbTraining(
-        instance, reward,
-        ParallelConfig(ParallelMode::kHogwild, 4, 100, dataset.default_start),
-        seed, run_nested);
+        seed);
   }
 }
 

@@ -1,14 +1,23 @@
-// Randomized property tests: core data structures are checked against
-// brute-force reference implementations over seeded random inputs.
+// Randomized property tests: core data structures, and the reward's cached
+// and incremental terms, are checked against brute-force reference
+// implementations over seeded random inputs.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "datagen/course_data.h"
+#include "datagen/synthetic.h"
+#include "datagen/trip_data.h"
+#include "geo/latlng.h"
+#include "mdp/episode_state.h"
+#include "mdp/reward.h"
 #include "mdp/similarity.h"
 #include "model/prereq.h"
+#include "model/topic_vector.h"
 #include "util/bitset.h"
 #include "util/csv.h"
 #include "util/rng.h"
@@ -206,6 +215,84 @@ TEST_P(SimilarityBruteTest, MatchesDirectFormula) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimilarityBruteTest, ::testing::Range(1, 41));
+
+// ------------------------------------ cached terms vs reference formulas --
+
+// Walks random reachable states (feasible appends from a random start) and
+// requires every cached or incremental reward term to equal its reference
+// definition exactly, for every candidate: r1 against
+// model::NewlyCoveredIdealTopics, the interleaving term against
+// AggregateSimilarity of the extended type sequence, and DistanceKm against
+// geo::HaversineKm.
+void ExpectRewardTermsMatchReference(const datagen::Dataset& dataset,
+                                     mdp::SimilarityMode mode,
+                                     std::uint64_t seed) {
+  const model::TaskInstance instance = dataset.Instance();
+  mdp::RewardWeights weights;
+  weights.similarity = mode;
+  const mdp::RewardFunction reward(instance, weights);
+  const model::Catalog& catalog = dataset.catalog;
+  util::Rng rng(seed);
+  for (int episode = 0; episode < 6; ++episode) {
+    mdp::EpisodeState state(instance);
+    state.Add(static_cast<model::ItemId>(rng.NextIndex(catalog.size())));
+    for (int step = 0; step < 12; ++step) {
+      const model::Item& current = catalog.item(state.CurrentItem());
+      std::vector<model::ItemId> feasible;
+      for (const model::Item& item : catalog.items()) {
+        if (state.Contains(item.id)) continue;
+        const std::size_t gained = model::NewlyCoveredIdealTopics(
+            state.covered_topics(), item.topics, instance.soft.ideal_topics);
+        ASSERT_EQ(reward.TopicCoverageReward(state, item.id),
+                  gained >= reward.RequiredNewIdealTopics() ? 1 : 0)
+            << dataset.name << " item " << item.id << " step " << step;
+        model::TypeSequence extended = state.type_sequence();
+        extended.push_back(item.type);
+        ASSERT_EQ(reward.InterleavingSimilarity(state, item.id),
+                  mdp::AggregateSimilarity(extended,
+                                           instance.soft.interleaving, mode))
+            << dataset.name << " item " << item.id << " step " << step;
+        ASSERT_EQ(reward.DistanceKm(current.id, item.id),
+                  geo::HaversineKm(current.location, item.location))
+            << dataset.name << " item " << item.id << " step " << step;
+        if (reward.IsFeasible(state, item.id)) feasible.push_back(item.id);
+      }
+      if (feasible.empty()) break;
+      state.Add(feasible[rng.NextIndex(feasible.size())]);
+    }
+  }
+}
+
+TEST(RewardReferenceTest, Univ1) {
+  const datagen::Dataset dataset = datagen::MakeUniv1DsCt();
+  ExpectRewardTermsMatchReference(dataset, mdp::SimilarityMode::kAverage, 1);
+  ExpectRewardTermsMatchReference(dataset, mdp::SimilarityMode::kMinimum, 2);
+}
+
+TEST(RewardReferenceTest, Univ2) {
+  const datagen::Dataset dataset = datagen::MakeUniv2Ds();
+  ExpectRewardTermsMatchReference(dataset, mdp::SimilarityMode::kAverage, 3);
+  ExpectRewardTermsMatchReference(dataset, mdp::SimilarityMode::kMinimum, 4);
+}
+
+TEST(RewardReferenceTest, NycUsesDistanceMatrix) {
+  const datagen::Dataset dataset = datagen::MakeNycTrip();
+  ExpectRewardTermsMatchReference(dataset, mdp::SimilarityMode::kAverage, 5);
+  ExpectRewardTermsMatchReference(dataset, mdp::SimilarityMode::kMinimum, 6);
+}
+
+TEST(RewardReferenceTest, LargeTripCatalogComputesDistancesOnTheFly) {
+  // Past 1024 items the reward keeps no distance matrix.
+  datagen::SyntheticSpec spec;
+  spec.domain = model::Domain::kTrip;
+  spec.num_items = 1100;
+  spec.vocab_size = 400;
+  spec.seed = 11;
+  const datagen::Dataset dataset = datagen::GenerateSynthetic(spec);
+  ASSERT_GT(dataset.catalog.size(), 1024u);
+  ExpectRewardTermsMatchReference(dataset, mdp::SimilarityMode::kAverage, 7);
+  ExpectRewardTermsMatchReference(dataset, mdp::SimilarityMode::kMinimum, 8);
+}
 
 }  // namespace
 }  // namespace rlplanner

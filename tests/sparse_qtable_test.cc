@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -204,28 +205,28 @@ TEST(SparseQTableTest, MaxAbsAndNonZeroFractionMatchDense) {
   EXPECT_EQ(dense.NonZeroFraction(), sparse.NonZeroFraction());
 }
 
-TEST(SparseQTableTest, CsvByteIdenticalToDenseAndRoundTrips) {
-  // Byte identity of the serialized form on arbitrary values...
+TEST(SparseQTableTest, SortedEntriesMatchDenseNonZeroCells) {
+  // The canonical traversal the v2 snapshot writer and equality share
+  // visits exactly the dense table's non-zero cells, in row-major order,
+  // with bit-equal values.
   auto [dense, sparse] = RandomPair(30, 53);
-  EXPECT_EQ(dense.ToCsv(), sparse.ToCsv());
-  // ...and exact round-trip on values FormatDouble(v, 12) preserves (the
-  // CSV path is 12-significant-digit, matching QTable::ToCsv).
-  SparseQTable exact(10);
-  exact.Set(0, 3, 1.5);
-  exact.Set(7, 2, -0.25);
-  exact.Set(9, 9, 42.0);
-  auto restored = SparseQTable::FromCsv(10, exact.ToCsv());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_TRUE(restored.value() == exact);
-}
-
-TEST(SparseQTableTest, FromCsvRejectsMalformedAndDuplicates) {
-  EXPECT_FALSE(SparseQTable::FromCsv(4, "state,action,q\n9,0,1.0\n").ok());
-  EXPECT_FALSE(SparseQTable::FromCsv(4, "state,action,q\n1,x,1.0\n").ok());
-  auto dup =
-      SparseQTable::FromCsv(4, "state,action,q\n1,2,1.0\n1,2,2.0\n");
-  ASSERT_FALSE(dup.ok());
-  EXPECT_NE(dup.status().message().find("duplicate"), std::string::npos);
+  EXPECT_TRUE(SameCells(dense, sparse));
+  std::vector<std::tuple<model::ItemId, model::ItemId, double>> expected;
+  for (std::size_t s = 0; s < dense.num_items(); ++s) {
+    for (std::size_t a = 0; a < dense.num_items(); ++a) {
+      const auto state = static_cast<model::ItemId>(s);
+      const auto action = static_cast<model::ItemId>(a);
+      if (dense.Get(state, action) != 0.0) {
+        expected.emplace_back(state, action, dense.Get(state, action));
+      }
+    }
+  }
+  std::vector<std::tuple<model::ItemId, model::ItemId, double>> visited;
+  sparse.ForEachNonZeroEntrySorted(
+      [&](model::ItemId s, model::ItemId a, double v) {
+        visited.emplace_back(s, a, v);
+      });
+  EXPECT_EQ(visited, expected);
 }
 
 TEST(SparseQTableTest, FromDenseToDenseRoundTrip) {
@@ -389,19 +390,6 @@ TEST(QRepresentationTest, BigCatalogSparseWithPolicyRoundsIsRejected) {
   config.sarsa.num_episodes = 2;
   core::RlPlanner ok_planner(instance, config);
   EXPECT_TRUE(ok_planner.Train().ok());
-}
-
-TEST(QRepresentationTest, SparseWithHogwildIsRejected) {
-  const datagen::Dataset dataset = datagen::MakeTableIIToy();
-  const model::TaskInstance instance = dataset.Instance();
-  core::PlannerConfig config = core::DefaultUniv1Config();
-  config.sarsa.start_item = dataset.default_start;
-  config.sarsa.parallel_mode = rl::ParallelMode::kHogwild;
-  config.sarsa.q_representation = rl::QRepresentation::kSparse;
-  core::RlPlanner planner(instance, config);
-  const auto status = planner.Train();
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("Hogwild"), std::string::npos);
 }
 
 }  // namespace

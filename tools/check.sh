@@ -43,10 +43,10 @@ run_tsan_lane() {
   cmake --build build-tsan -j "${JOBS}"
   # The serving layer and the parallel trainer are where the threads are;
   # util_test covers the ThreadPool substrate both run on. The
-  # parallel_sarsa tests drive the sharded-merge barrier and the Hogwild
-  # CAS loop under TSan; obs_test hammers the sharded metric cells, the
-  # registry's concurrent registration path, and the trace collector's
-  # single-writer rings (concurrent emit + export); simd_test covers the
+  # parallel_sarsa tests drive the sharded-merge barrier under TSan;
+  # obs_test hammers the sharded metric cells, the registry's concurrent
+  # registration path, and the trace collector's single-writer rings
+  # (concurrent emit + export); simd_test covers the
   # dispatch table's concurrent first-use resolution (and its _scalar ctest
   # variant keeps the scalar kernels sanitized too); net_test crosses the
   # epoll shards' completion-queue/eventfd edge under concurrent clients

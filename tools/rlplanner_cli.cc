@@ -8,11 +8,11 @@
 //   plan    --dataset <name|file.csv>     train RL-Planner and recommend
 //           [--start CODE] [--episodes N] [--alpha A] [--gamma G]
 //           [--epsilon E] [--similarity avg|min] [--beam] [--seed S]
-//           [--save-policy CSV] [--metrics-out JSON] [--trace-out JSON]
+//           [--metrics-out JSON] [--trace-out JSON]
 //   train   --dataset <name|file.csv>     train only, with per-round
 //           [training flags as for plan]  progress from the metrics
-//           [--workers K] [--mode serial|det|hogwild]
-//           [--save-policy CSV] [--metrics-out JSON] [--trace-out JSON]
+//           [--workers K] [--mode serial|det]
+//           [--metrics-out JSON] [--trace-out JSON]
 //   metrics --dataset <name|file.csv>     train and dump the registry
 //           [--format prom|json]          snapshot to stdout
 //           [training flags as for train]
@@ -26,8 +26,9 @@
 //                                         version, dimensions, non-zero
 //                                         fraction, checksum status — no
 //                                         dataset needed
-//   load-snapshot --dataset D --in FILE   load a snapshot, verify it against
-//           [--start CODE]                the catalog, and recommend
+//   load-snapshot --dataset D --in FILE   load a snapshot of either format,
+//           [--start CODE]                verify it against the catalog, and
+//                                         recommend
 //   serve   --dataset D                   run the concurrent PlanService over
 //           [--snapshot FILE]             synthetic traffic and print the
 //           [--requests N] [--threads T]  stats JSON (hot-path smoke test of
@@ -73,16 +74,19 @@
 // Perfetto (https://ui.perfetto.dev) or chrome://tracing — see
 // docs/observability.md.
 //
-// Unknown commands and missing required flags print a usage message on
-// stderr and exit 2. Datasets can be the built-in names (toy, univ1-dsct,
-// univ1-cyber, univ1-cs, univ2-ds, nyc, paris) or a CSV file produced by
-// `export` / `datagen::SaveDatasetCsv`.
+// Unknown commands, unknown flags, unknown --mode/--q-repr values and
+// missing required flags print a usage message on stderr and exit 2.
+// Datasets can be the built-in names (toy, univ1-dsct, univ1-cyber,
+// univ1-cs, univ2-ds, nyc, paris) or a CSV file produced by `export` /
+// `datagen::SaveDatasetCsv`.
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -133,9 +137,9 @@ int Usage(const std::string& error) {
       "  --start CODE  --episodes N  --alpha A  --gamma G  --epsilon E\n"
       "  --similarity avg|min  --beam  --seed S  --out FILE  --in FILE\n"
       "  --snapshot FILE  --requests N  --threads T  --queue Q\n"
-      "  --deadline-ms D  --save-policy FILE  --metrics-out FILE\n"
-      "  --metrics-interval-s N  --trace-out FILE\n"
-      "  --workers K  --mode serial|det|hogwild  --format prom|json\n"
+      "  --deadline-ms D  --metrics-out FILE  --metrics-interval-s N\n"
+      "  --trace-out FILE  --v2\n"
+      "  --workers K  --mode serial|det  --format prom|json\n"
       "  --q-repr auto|dense|sparse  --snapshot-mode deserialize|mmap\n"
       "  --listen HOST:PORT  --shards N  --duration-s S\n"
       "  --drain-timeout-ms D  --profile-hz HZ  --slo-ms MS\n"
@@ -143,6 +147,23 @@ int Usage(const std::string& error) {
       "  --policies N  --ticks T  --freshness-ticks F  --canary-permille P\n"
       "  --hold-ticks H  --reward-band B  --force-rollback\n");
   return 2;
+}
+
+// InvalidArgument when `flag` is set to a value outside `values`.
+rlplanner::util::Status CheckFlagValue(const CommandLine& cmd,
+                                       const std::string& flag,
+                                       const std::vector<std::string>& values) {
+  const auto v = cmd.GetFlag(flag);
+  if (!v.has_value() ||
+      std::find(values.begin(), values.end(), *v) != values.end()) {
+    return rlplanner::util::Status::Ok();
+  }
+  std::string allowed;
+  for (const auto& value : values) {
+    allowed += (allowed.empty() ? "" : "|") + value;
+  }
+  return rlplanner::util::Status::InvalidArgument(
+      "unknown --" + flag + " value '" + *v + "' (expected " + allowed + ")");
 }
 
 std::optional<Dataset> LoadDataset(const std::string& spec) {
@@ -200,14 +221,11 @@ rlplanner::core::PlannerConfig BuildConfig(const Dataset& dataset,
   if (auto v = cmd.GetFlag("workers")) {
     config.sarsa.num_workers = std::atoi(v->c_str());
   }
+  // main() has already rejected --mode/--q-repr values outside these sets.
   if (auto v = cmd.GetFlag("mode")) {
-    if (*v == "det") {
-      config.sarsa.parallel_mode = rlplanner::rl::ParallelMode::kDeterministic;
-    } else if (*v == "hogwild") {
-      config.sarsa.parallel_mode = rlplanner::rl::ParallelMode::kHogwild;
-    } else {
-      config.sarsa.parallel_mode = rlplanner::rl::ParallelMode::kSerial;
-    }
+    config.sarsa.parallel_mode =
+        *v == "det" ? rlplanner::rl::ParallelMode::kDeterministic
+                    : rlplanner::rl::ParallelMode::kSerial;
   }
   if (auto v = cmd.GetFlag("q-repr")) {
     config.sarsa.q_representation =
@@ -398,11 +416,6 @@ int CmdPlan(const Dataset& dataset, const CommandLine& cmd) {
   std::printf("check: %s\n",
               planner.Validate(plan.value()).ToString().c_str());
   std::printf("score: %.2f\n", planner.Score(plan.value()));
-  if (auto v = cmd.GetFlag("save-policy")) {
-    const auto status = planner.SavePolicy(*v);
-    std::printf("policy: %s\n", status.ok() ? v->c_str()
-                                            : status.ToString().c_str());
-  }
   if (auto v = cmd.GetFlag("metrics-out")) {
     if (!WriteTextFile(*v, MetricsOutJson(registry, planner))) return 1;
     std::printf("metrics: %s\n", v->c_str());
@@ -426,13 +439,10 @@ int CmdTrain(const Dataset& dataset, const CommandLine& cmd) {
     std::fprintf(stderr, "training failed: %s\n", status.ToString().c_str());
     return 1;
   }
-  const char* mode =
-      config.sarsa.parallel_mode == rlplanner::rl::ParallelMode::kHogwild
-          ? "hogwild"
-          : config.sarsa.parallel_mode ==
-                    rlplanner::rl::ParallelMode::kDeterministic
-                ? "det"
-                : "serial";
+  const char* mode = config.sarsa.parallel_mode ==
+                             rlplanner::rl::ParallelMode::kDeterministic
+                         ? "det"
+                         : "serial";
   std::printf("trained %d episodes in %.3f s (mode %s, %d workers)\n",
               config.sarsa.num_episodes, planner.train_seconds(), mode,
               config.sarsa.num_workers);
@@ -442,11 +452,6 @@ int CmdTrain(const Dataset& dataset, const CommandLine& cmd) {
         round.round, static_cast<unsigned long long>(round.episodes),
         round.episodes_per_sec, round.epsilon,
         round.safe ? "safe" : "VIOLATION");
-  }
-  if (auto v = cmd.GetFlag("save-policy")) {
-    const auto status = planner.SavePolicy(*v);
-    std::printf("policy: %s\n", status.ok() ? v->c_str()
-                                            : status.ToString().c_str());
   }
   if (auto v = cmd.GetFlag("metrics-out")) {
     if (!WriteTextFile(*v, MetricsOutJson(registry, planner))) return 1;
@@ -562,12 +567,12 @@ int CmdSaveSnapshot(const Dataset& dataset, const CommandLine& cmd) {
   return 0;
 }
 
-// Loads a snapshot, validates it against the dataset catalog, and rolls out
-// the greedy plan — the offline check that a snapshot is servable.
-int CmdLoadSnapshot(const Dataset& dataset, const CommandLine& cmd) {
-  const rlplanner::model::TaskInstance instance = dataset.Instance();
-  auto snapshot =
-      rlplanner::serve::PolicySnapshot::LoadFromFile(*cmd.GetFlag("in"));
+// Validates a loaded snapshot of either format against the dataset catalog,
+// adopts its table and rolls out the greedy plan — the offline check that a
+// snapshot is servable.
+template <typename Snapshot>
+int AdoptAndRecommend(const Dataset& dataset, const CommandLine& cmd,
+                      rlplanner::util::Result<Snapshot> snapshot) {
   if (!snapshot.ok()) {
     std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
     return 1;
@@ -583,11 +588,14 @@ int CmdLoadSnapshot(const Dataset& dataset, const CommandLine& cmd) {
                  static_cast<unsigned long long>(fingerprint));
     return 1;
   }
+  const rlplanner::model::TaskInstance instance = dataset.Instance();
   rlplanner::core::PlannerConfig config = BuildConfig(dataset, cmd);
   config.sarsa = snapshot.value().provenance;
   config.seed = snapshot.value().seed;
   rlplanner::core::RlPlanner planner(instance, config);
-  if (const auto status = planner.AdoptPolicy(snapshot.value().table);
+  const std::size_t num_items = snapshot.value().table.num_items();
+  if (const auto status =
+          planner.AdoptPolicy(std::move(snapshot).value().table);
       !status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
@@ -598,9 +606,8 @@ int CmdLoadSnapshot(const Dataset& dataset, const CommandLine& cmd) {
     return 1;
   }
   std::printf("loaded snapshot (%zu items, %d episodes, seed %llu)\n",
-              snapshot.value().table.num_items(),
-              snapshot.value().provenance.num_episodes,
-              static_cast<unsigned long long>(snapshot.value().seed));
+              num_items, config.sarsa.num_episodes,
+              static_cast<unsigned long long>(config.seed));
   auto plan = planner.Recommend(start.value());
   if (!plan.ok()) {
     std::fprintf(stderr, "%s\n", plan.status().ToString().c_str());
@@ -611,6 +618,24 @@ int CmdLoadSnapshot(const Dataset& dataset, const CommandLine& cmd) {
               planner.Validate(plan.value()).ToString().c_str());
   std::printf("score: %.2f\n", planner.Score(plan.value()));
   return 0;
+}
+
+// Loads what `save-snapshot` wrote. The format is detected by its magic, as
+// PolicyRegistry::InstallSnapshotFile does: v2 files load into the sparse
+// table, anything else goes to the v1 loader, whose errors say what is
+// wrong with the file.
+int CmdLoadSnapshot(const Dataset& dataset, const CommandLine& cmd) {
+  const std::string path = *cmd.GetFlag("in");
+  char magic[8] = {};
+  std::ifstream in(path, std::ios::binary);
+  if (in.read(magic, sizeof(magic)) &&
+      std::string(magic, sizeof(magic)) == "RLPSNAP2") {
+    return AdoptAndRecommend(
+        dataset, cmd,
+        rlplanner::serve::SparsePolicySnapshotV2::LoadFromFile(path));
+  }
+  return AdoptAndRecommend(
+      dataset, cmd, rlplanner::serve::PolicySnapshot::LoadFromFile(path));
 }
 
 // Inspects a snapshot file of either format without needing the dataset:
@@ -1116,6 +1141,23 @@ int CmdFleet(const Dataset& dataset, const CommandLine& cmd,
 int main(int argc, char** argv) {
   const CommandLine cmd = rlplanner::util::ParseCommandLine(argc, argv);
   if (cmd.command.empty()) return Usage("missing subcommand");
+  // Every flag some subcommand reads. Anything else is a usage error, so a
+  // typo or a retired flag fails loudly instead of being ignored.
+  const std::vector<std::string> known_flags = {
+      "alpha", "beam", "canary-permille", "dataset", "deadline-ms",
+      "drain-timeout-ms", "duration-s", "episodes", "epsilon",
+      "fleet-policies", "fleet-ticks", "force-rollback", "format",
+      "freshness-ticks", "gamma", "hold-ticks", "in", "listen",
+      "metrics-interval-s", "metrics-out", "mode", "out", "policies",
+      "profile-hz", "q-repr", "queue", "requests", "reward-band", "seed",
+      "shards", "similarity", "slo-ms", "snapshot", "snapshot-mode",
+      "start", "threads", "ticks", "trace-out", "v2", "workers"};
+  for (const auto& status :
+       {rlplanner::util::AllowFlags(cmd, known_flags),
+        CheckFlagValue(cmd, "mode", {"serial", "det"}),
+        CheckFlagValue(cmd, "q-repr", {"auto", "dense", "sparse"})}) {
+    if (!status.ok()) return Usage(status.message());
+  }
   if (cmd.command == "list") return CmdList();
   if (cmd.command == "snapshot-info") {
     // The only positional-argument command: `snapshot-info FILE`.
